@@ -5,12 +5,12 @@
 //! `cargo run --release -p ctk-bench --bin bench_pr10 [--small] [--out FILE]`
 //!
 //! Every cell is compared per-tenant (`UrReport::same_outcome`) against
-//! the tick-mode single-shard reference for its tenant count — the
-//! threaded topology's core claim is that worker threads are invisible
-//! in the results. Beyond PR 9's timings this records the coordinator's
-//! barrier economics: stall time (coordinator blocked on an empty
-//! request channel), channel message counts, and the deepest observed
-//! request backlog.
+//! the single-threaded event-mode, single-shard reference for its tenant
+//! count — the threaded topology's core claim is that worker threads are
+//! invisible in the results. Beside the timings this records the
+//! coordinator's barrier economics: stall time (coordinator blocked on
+//! an empty request channel), channel message counts, and the deepest
+//! observed request backlog.
 //!
 //! The ">= 2x at 4 shards" acceptance assertion compares threaded
 //! against single-threaded event mode at the largest tenant count and
@@ -77,7 +77,6 @@ fn tenant_config(tenant: usize, worlds: usize, budget: usize) -> SessionConfig {
 
 fn mode_str(mode: RunMode) -> &'static str {
     match mode {
-        RunMode::Tick => "tick",
         RunMode::Event => "event",
         RunMode::EventThreaded => "event_threaded",
     }
@@ -174,7 +173,7 @@ fn main() {
         .map(|t| t.get())
         .unwrap_or(1);
     eprintln!(
-        "# threaded shard topology: tenants {:?} x shards {:?} x modes [tick, event, event_threaded] (n={}, worlds={}, budget={}, {} cores){}",
+        "# threaded shard topology: tenants {:?} x shards {:?} x modes [event, event_threaded] (n={}, worlds={}, budget={}, {} cores){}",
         grid.tenants,
         grid.shards,
         grid.tuples,
@@ -189,13 +188,15 @@ fn main() {
 
     let mut cells: Vec<Cell> = Vec::new();
     for &tenants in &grid.tenants {
-        // The row anchor: tick mode at one shard, the configuration
-        // bit-compatible with the pre-shard loop.
-        let (anchor, reference) = run_cell(&table, &truth, &grid, tenants, 1, RunMode::Tick);
+        // The row anchor: single-threaded event mode at one shard.
+        let (anchor, reference) = run_cell(&table, &truth, &grid, tenants, 1, RunMode::Event);
         print_cell(&anchor);
         cells.push(anchor);
         for &shards in &grid.shards {
             for mode in [RunMode::Event, RunMode::EventThreaded] {
+                if shards == 1 && mode == RunMode::Event {
+                    continue; // the anchor itself
+                }
                 let (cell, reports) = run_cell(&table, &truth, &grid, tenants, shards, mode);
                 for (t, (a, b)) in reference.iter().zip(&reports).enumerate() {
                     assert!(

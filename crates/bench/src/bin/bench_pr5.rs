@@ -5,7 +5,7 @@
 //! BENCH_PR3 configuration (n = 200 tuples, M = 10 000 worlds, K = 5),
 //! all single-threaded, and emits `BENCH_PR5.json`. The `cold_start` cell
 //! measures the full table-preparation pipeline a `TopKService` session
-//! cold start is gated on (pairwise matrix + MC path set); the absolute
+//! cold start waits on (pairwise matrix + MC path set); the absolute
 //! wall time of a real `TopKService::submit` on a fresh service (which
 //! runs exactly that pipeline plus driver bookkeeping) is reported
 //! alongside as `service_submit_ns`.

@@ -22,7 +22,7 @@
 //!    the historical fixed-`m` pipeline bit for bit on both profiles.
 //!
 //! Hard-table numbers are reported (worlds drawn, drift, speedup) but not
-//! gated: wide overlap legitimately needs world counts near or above the
+//! asserted: wide overlap legitimately needs world counts near or above the
 //! old default.
 //!
 //! Emits `BENCH_PR8.json`. CI runs `--small` mode: smaller tables and

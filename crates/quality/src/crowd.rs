@@ -687,7 +687,7 @@ mod tests {
         // been re-admitted (and possibly re-quarantined) at least once —
         // re-admission resets the posterior to the prior.
         assert!(at + 6 < 60, "leave room to observe re-admission");
-        // Honest workers were never gated.
+        // Honest workers were never quarantined.
         for w in 0..4u32 {
             assert!(crowd.posterior_mean(WorkerId(w)).unwrap() > 0.62);
         }
@@ -716,7 +716,7 @@ mod tests {
             }
         }
         assert_eq!(served, 200, "every ask is served");
-        assert_eq!(crowd.quarantined(), 3, "the whole roster is gated");
+        assert_eq!(crowd.quarantined(), 3, "the whole roster is quarantined");
     }
 
     #[test]

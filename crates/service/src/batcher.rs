@@ -1,6 +1,6 @@
-//! Cross-session question batching: one service round's worth of
-//! questions from many sessions, deduplicated through an answer cache
-//! before any crowd budget is spent.
+//! Cross-session question batching: questions from many sessions,
+//! deduplicated through an answer cache before any crowd budget is
+//! spent.
 //!
 //! Two tenants asking about the same pair of objects is the common case a
 //! serving layer exists to exploit: the crowd's answer to `t_i ?≺ t_j` is
@@ -16,10 +16,10 @@
 //! lossless.
 
 use crate::metrics::ServiceMetrics;
-use crate::registry::SessionId;
-use crate::shard::ShardLedger;
+use crate::shard::{Pending, ShardLedger};
 use ctk_crowd::{Answer, Crowd, Question, RouteHint};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::time::Instant;
 
 /// One remembered crowd verdict.
 #[derive(Debug, Clone, Copy)]
@@ -99,9 +99,8 @@ impl AnswerCache {
 
 /// Anything that can memoize crowd verdicts for the batcher: the plain
 /// [`AnswerCache`] or the question-hash-partitioned
-/// [`ShardedAnswerCache`]. The batcher resolves against the trait so the
-/// tick and event loops share one cache-first purchase path at any shard
-/// count.
+/// [`ShardedAnswerCache`]. The purchase path resolves against the trait,
+/// so it is the same code at any shard count.
 pub trait AnswerStore {
     /// Looks up the answer for `q`, re-oriented to `q`'s orientation,
     /// with the accuracy it was bought at.
@@ -203,38 +202,18 @@ pub struct ServedAnswer {
     pub cached: bool,
 }
 
-/// Answers delivered to one session in a round.
-#[derive(Debug, Clone)]
-pub struct SessionAnswers {
-    /// The session the answers belong to.
-    pub id: SessionId,
-    /// Answers, in the order the session's questions were posed. May be a
-    /// prefix of the request when the crowd ran out of budget.
-    pub answers: Vec<ServedAnswer>,
-    /// How many questions the session posed this round.
-    pub requested: usize,
-    /// How many of the delivered answers came from the cache.
-    pub cache_hits: usize,
-}
-
-impl SessionAnswers {
-    /// True when the crowd could not serve the whole request.
-    pub fn starved(&self) -> bool {
-        self.answers.len() < self.requested
-    }
-}
-
 /// How one session's pending batch ended at the purchase path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Disposition {
     /// Every pending question was answered (cache or live).
     Resolved,
-    /// Gated resolution hit a cache miss with no grant available: the
-    /// session parks `AwaitingBudget` with its remaining questions.
+    /// A cache miss found no grant unit available: the session parks
+    /// `AwaitingBudget` with its remaining questions.
     Parked,
     /// The crowd could not answer a live question: the batch is
     /// decisively cut to the prefix that was served (the driver reads the
-    /// partial set as "wind down", exactly like tick mode).
+    /// partial set as "wind down", as a standalone session does on an
+    /// exhausted crowd).
     Starved,
 }
 
@@ -247,28 +226,32 @@ pub(crate) struct Resolution {
     pub(crate) disposition: Disposition,
 }
 
-/// The event loops' purchase loop, shared verbatim by the in-place
-/// sweeps (`TopKService::resolve_session`) and the threaded topology's
-/// coordinator — one implementation is what makes the two modes
-/// equivalent by construction rather than by parallel maintenance.
+/// The purchase loop. The in-place sweep calls it directly; the threaded
+/// topology's coordinator calls it on each request a shard worker ships
+/// over. One implementation is what makes the two equivalent by
+/// construction rather than by parallel maintenance.
 ///
-/// Resolves `pending` front-to-back, cache-first, crowd-second. Gated,
-/// a cache miss with no grant unit available returns
-/// [`Disposition::Parked`] with `pending` holding the unresolved tail;
-/// ungated (tick-style resume), live asks are accounted via
-/// [`ShardLedger::note_spend`]. Counts cache hits, live purchases and
-/// routing splits on `metrics`.
+/// Resolves `pending` front-to-back, cache-first, crowd-second, popping
+/// each served question. A cache miss with no grant unit available in
+/// `ledger` returns [`Disposition::Parked`] with `pending` holding the
+/// unresolved tail; a crowd that cannot answer returns
+/// [`Disposition::Starved`] with `pending` cleared. Counts cache hits,
+/// live purchases, routing splits and purchase time on `metrics`.
 pub(crate) fn resolve_pending<C: Crowd, S: AnswerStore>(
-    pending: &mut VecDeque<(Question, RouteHint)>,
-    gated: bool,
+    pending: &mut Pending,
     ledger: &mut ShardLedger,
     cache: &mut S,
     crowd: &mut C,
     metrics: &mut ServiceMetrics,
 ) -> Resolution {
+    // ctk-allow(det-wall-clock): purchase-duration metric only; never feeds a decision
+    let p0 = Instant::now();
     let mut served = Vec::new();
     let mut cache_hits = 0u64;
-    while let Some(&(q, hint)) = pending.front() {
+    let disposition = loop {
+        let Some(&(q, hint)) = pending.front() else {
+            break Disposition::Resolved;
+        };
         if let Some((answer, accuracy)) = cache.lookup(q) {
             pending.pop_front();
             cache_hits += 1;
@@ -280,27 +263,15 @@ pub(crate) fn resolve_pending<C: Crowd, S: AnswerStore>(
             });
             continue;
         }
-        if gated && ledger.available() == 0 {
-            return Resolution {
-                served,
-                cache_hits,
-                disposition: Disposition::Parked,
-            };
+        if ledger.available() == 0 {
+            break Disposition::Parked;
         }
         let Some(answer) = crowd.ask_routed(q, hint) else {
             pending.clear();
-            return Resolution {
-                served,
-                cache_hits,
-                disposition: Disposition::Starved,
-            };
+            break Disposition::Starved;
         };
         pending.pop_front();
-        if gated {
-            ledger.spend_one();
-        } else {
-            ledger.note_spend(1);
-        }
+        ledger.spend_one();
         let accuracy = crowd.answer_accuracy();
         cache.store(answer, accuracy);
         metrics.crowd_questions += 1;
@@ -314,108 +285,13 @@ pub(crate) fn resolve_pending<C: Crowd, S: AnswerStore>(
             accuracy,
             cached: false,
         });
-    }
+    };
+    metrics.purchase_time += p0.elapsed();
     Resolution {
         served,
         cache_hits,
-        disposition: Disposition::Resolved,
+        disposition,
     }
-}
-
-/// Aggregate accounting of one resolved round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Answers delivered across all sessions.
-    pub answers_served: u64,
-    /// Questions actually posed to the crowd backend.
-    pub crowd_questions: u64,
-    /// Answers served from the cache (dedup across and within sessions).
-    pub cache_hits: u64,
-    /// Questions that could not be served (crowd exhausted, no cache).
-    pub unanswered: u64,
-    /// Live questions routed to expert panels (narrow belief margin).
-    pub routed_expert: u64,
-    /// Live questions routed to cheap panels (wide belief margin).
-    pub routed_cheap: u64,
-}
-
-/// Resolves one round of batched questions against the cache first and
-/// the crowd second.
-///
-/// Per session, answers are delivered in request order and stop at the
-/// first unanswerable question (the session driver treats a partial
-/// answer set as "crowd exhausted" and winds down, mirroring the
-/// standalone loop). Cache hits never spend crowd budget; a live answer
-/// is cached immediately, so identical questions later in the same round
-/// — from any session — are already hits.
-pub fn resolve_round<C: Crowd, S: AnswerStore>(
-    requests: &[(SessionId, Vec<Question>)],
-    crowd: &mut C,
-    cache: &mut S,
-) -> (Vec<SessionAnswers>, RoundStats) {
-    let routed: Vec<(SessionId, Vec<(Question, RouteHint)>)> = requests
-        .iter()
-        .map(|(id, qs)| (*id, qs.iter().map(|q| (*q, RouteHint::Any)).collect()))
-        .collect();
-    resolve_round_routed(&routed, crowd, cache)
-}
-
-/// Like [`resolve_round`] but with a per-question [`RouteHint`] attached
-/// by the caller's routing policy (see `QuestionRouter` in
-/// `ctk-quality`). Hints only reach the crowd on live purchases — a
-/// cache hit costs nothing regardless of routing — and hint-blind
-/// backends fall back to plain [`Crowd::ask`] via the trait default, so
-/// an all-`Any` request list is exactly [`resolve_round`].
-pub fn resolve_round_routed<C: Crowd, S: AnswerStore>(
-    requests: &[(SessionId, Vec<(Question, RouteHint)>)],
-    crowd: &mut C,
-    cache: &mut S,
-) -> (Vec<SessionAnswers>, RoundStats) {
-    let mut out = Vec::with_capacity(requests.len());
-    let mut stats = RoundStats::default();
-    for (id, questions) in requests {
-        let mut answers = Vec::with_capacity(questions.len());
-        let mut hits = 0;
-        for (q, hint) in questions {
-            if let Some((ans, accuracy)) = cache.lookup(*q) {
-                hits += 1;
-                answers.push(ServedAnswer {
-                    answer: ans,
-                    accuracy,
-                    cached: true,
-                });
-            } else if let Some(ans) = crowd.ask_routed(*q, *hint) {
-                stats.crowd_questions += 1;
-                match hint {
-                    RouteHint::Expert => stats.routed_expert += 1,
-                    RouteHint::Cheap => stats.routed_cheap += 1,
-                    RouteHint::Any => {}
-                }
-                let accuracy = crowd.answer_accuracy();
-                cache.store(ans, accuracy);
-                answers.push(ServedAnswer {
-                    answer: ans,
-                    accuracy,
-                    cached: false,
-                });
-            } else {
-                // Crowd exhausted and nothing cached: this session gets a
-                // prefix; later questions of *other* sessions may still be
-                // cache hits, so keep resolving.
-                break;
-            }
-        }
-        stats.answers_served += answers.len() as u64;
-        stats.cache_hits += hits as u64;
-        stats.unanswered += (questions.len() - answers.len()) as u64;
-        out.push(SessionAnswers {
-            id: *id,
-            answers,
-            requested: questions.len(),
-            cache_hits: hits,
-        });
-    }
-    (out, stats)
 }
 
 #[cfg(test)]
@@ -431,6 +307,18 @@ mod tests {
             budget,
         )
         .expect("valid vote policy")
+    }
+
+    /// One session's batch through the purchase loop, unrouted.
+    fn resolve(
+        questions: &[Question],
+        ledger: &mut ShardLedger,
+        cache: &mut AnswerCache,
+        crowd: &mut CrowdSimulator<PerfectWorker>,
+        metrics: &mut ServiceMetrics,
+    ) -> Resolution {
+        let mut pending: Pending = questions.iter().map(|&q| (q, RouteHint::Any)).collect();
+        resolve_pending(&mut pending, ledger, cache, crowd, metrics)
     }
 
     #[test]
@@ -460,20 +348,34 @@ mod tests {
     fn duplicate_questions_cost_one_crowd_ask() {
         let mut c = crowd(10);
         let mut cache = AnswerCache::new();
-        let requests = vec![
-            (SessionId(0), vec![Question::new(1, 0), Question::new(2, 1)]),
-            (SessionId(1), vec![Question::new(0, 1), Question::new(2, 1)]),
-        ];
-        let (served, stats) = resolve_round(&requests, &mut c, &mut cache);
-        assert_eq!(stats.answers_served, 4);
-        assert_eq!(stats.crowd_questions, 2, "two distinct pairs");
-        assert_eq!(stats.cache_hits, 2, "second session fully deduped");
-        assert_eq!(stats.unanswered, 0);
+        let mut ledger = ShardLedger::default();
+        ledger.grant(10);
+        let mut metrics = ServiceMetrics::default();
+        let a = resolve(
+            &[Question::new(1, 0), Question::new(2, 1)],
+            &mut ledger,
+            &mut cache,
+            &mut c,
+            &mut metrics,
+        );
+        let b = resolve(
+            &[Question::new(0, 1), Question::new(2, 1)],
+            &mut ledger,
+            &mut cache,
+            &mut c,
+            &mut metrics,
+        );
+        assert_eq!(a.served.len() + b.served.len(), 4);
+        assert_eq!(metrics.crowd_questions, 2, "two distinct pairs");
+        assert_eq!(metrics.cache_hits, 2, "second session fully deduped");
+        assert_eq!(b.cache_hits, 2, "second session fully deduped");
+        assert_eq!(a.disposition, Disposition::Resolved);
+        assert_eq!(b.disposition, Disposition::Resolved);
         // Both sessions got consistent verdicts, with provenance.
-        assert!(served[0].answers[0].answer.yes); // 1 above 0
-        assert!(!served[1].answers[0].answer.yes); // 0 NOT above 1
-        assert!(served[0].answers[1].answer.yes && served[1].answers[1].answer.yes);
-        assert!(!served[0].answers[0].cached && served[1].answers[0].cached);
+        assert!(a.served[0].answer.yes); // 1 above 0
+        assert!(!b.served[0].answer.yes); // 0 NOT above 1
+        assert!(a.served[1].answer.yes && b.served[1].answer.yes);
+        assert!(!a.served[0].cached && b.served[0].cached);
         assert_eq!(c.remaining(), 8);
     }
 
@@ -519,19 +421,32 @@ mod tests {
     fn exhausted_crowd_yields_prefixes_but_serves_cache() {
         let mut c = crowd(1);
         let mut cache = AnswerCache::new();
-        let requests = vec![
-            (SessionId(0), vec![Question::new(1, 0), Question::new(2, 1)]),
-            (SessionId(1), vec![Question::new(1, 0)]),
-        ];
-        let (served, stats) = resolve_round(&requests, &mut c, &mut cache);
+        // Enough grant for every question: only the crowd runs out.
+        let mut ledger = ShardLedger::default();
+        ledger.grant(3);
+        let mut metrics = ServiceMetrics::default();
+        let a = resolve(
+            &[Question::new(1, 0), Question::new(2, 1)],
+            &mut ledger,
+            &mut cache,
+            &mut c,
+            &mut metrics,
+        );
+        let b = resolve(
+            &[Question::new(1, 0)],
+            &mut ledger,
+            &mut cache,
+            &mut c,
+            &mut metrics,
+        );
         // Session 0: first answered live, second unanswerable.
-        assert_eq!(served[0].answers.len(), 1);
-        assert!(served[0].starved());
+        assert_eq!(a.served.len(), 1);
+        assert_eq!(a.disposition, Disposition::Starved);
         // Session 1: crowd is spent but the answer is cached.
-        assert_eq!(served[1].answers.len(), 1);
-        assert!(!served[1].starved());
-        assert_eq!(served[1].cache_hits, 1);
-        assert_eq!(stats.unanswered, 1);
-        assert_eq!(stats.crowd_questions, 1);
+        assert_eq!(b.served.len(), 1);
+        assert_eq!(b.disposition, Disposition::Resolved);
+        assert_eq!(b.cache_hits, 1);
+        assert_eq!(2 + 1 - a.served.len() - b.served.len(), 1, "one unanswered");
+        assert_eq!(metrics.crowd_questions, 1);
     }
 }

@@ -15,34 +15,31 @@
 //! (DESIGN.md §14):
 //!
 //! * [`shard`] — the shard structs: each shard owns its sessions end to
-//!   end (registry, scheduler queues, budget-grant ledger, event
-//!   ready-queue); budget is reconciled against the crowd through
-//!   explicit [`ShardLedger`] grants;
+//!   end (registry, scheduler queues, event ready-queue) and runs the one
+//!   event sweep both run modes share; budget is reconciled against the
+//!   crowd through explicit per-shard [`ShardLedger`] grants;
 //! * [`registry`] — shard-aware session registry: per-session budgets,
 //!   lifecycle states (queued / awaiting-answers / awaiting-budget /
-//!   done / failed), and disjoint `&mut` entry access for the sharded
-//!   round phases;
+//!   done / failed), and disjoint `&mut` entry access for the fanned-out
+//!   gather phase;
 //! * [`scheduler`] — strict priority between classes, deficit round-robin
 //!   within a class (persistent per-class service queues), bounded
 //!   fanout: every session of the top nonempty class is served within
-//!   `ceil(n / fanout)` rounds, churn-proof; one instance per shard;
+//!   `ceil(n / fanout)` sweeps, churn-proof; one instance per shard;
 //! * [`batcher`] — cross-session question batching with an answer cache
 //!   ([`AnswerCache`], partitioned by question hash as
 //!   [`ShardedAnswerCache`]): identical pairwise questions from different
 //!   tenants are answered once, then served from memory, before any
 //!   crowd budget is spent;
-//! * [`service`] — [`TopKService`] in three run modes: [`RunMode::Tick`]
-//!   barrier rounds (gather/purchase/feed, bit-identical to the
-//!   pre-shard loop at one shard), [`RunMode::Event`] sweeps draining
-//!   typed per-shard [`Event`] queues, with [`Quiescence`] telling
-//!   blocked-on-crowd apart from idle, and [`RunMode::EventThreaded`] —
-//!   the same event sweeps with every shard owned by a dedicated worker
-//!   thread;
-//! * [`topology`] — the threaded topology's coordinator/worker split:
-//!   per-shard threads run all shard-local phases, the coordinator
-//!   serves purchases and grants at a shard-order `mpsc` barrier
-//!   (DESIGN.md §15), keeping reports `same_outcome` with the
-//!   single-threaded event loop;
+//! * [`service`] — [`TopKService`] in two run modes over the same sweep:
+//!   [`RunMode::Event`] (the default) sweeps the typed per-shard
+//!   [`Event`] queues in place, with [`Quiescence`] telling
+//!   blocked-on-crowd apart from idle, and [`RunMode::EventThreaded`]
+//!   sweeps every shard on a dedicated worker thread;
+//! * [`topology`] — the threaded topology's channel protocol and
+//!   coordinator loop: the coordinator serves purchases and grants at a
+//!   shard-order `mpsc` barrier (DESIGN.md §15), keeping reports
+//!   `same_outcome` with the single-threaded event loop;
 //! * [`error`] — typed [`ServiceError`] for API misuse (topology changes
 //!   after the first submit), honoring the workspace panic-freedom rule;
 //! * [`metrics`] — throughput / latency-histogram / cache-hit /
@@ -54,7 +51,7 @@
 //! [`ctk_core::session::UrSession::run`] produces under the same seed —
 //! the integration suite pins this for 36 concurrent tenants, pins that
 //! per-tenant reports are bit-identical at 1/2/4 worker threads, and pins
-//! that all run modes agree at 1/2/4 shards (the threaded topology across
+//! that both run modes agree at 1/2/4 shards (the threaded topology across
 //! 1/2/4 worker threads as well). See DESIGN.md §7, §9, §14 and §15 for
 //! the architecture discussion.
 
@@ -67,9 +64,7 @@ pub mod service;
 pub mod shard;
 pub mod topology;
 
-pub use batcher::{
-    AnswerCache, AnswerStore, RoundStats, ServedAnswer, SessionAnswers, ShardedAnswerCache,
-};
+pub use batcher::{AnswerCache, AnswerStore, ServedAnswer, ShardedAnswerCache};
 pub use ctk_quality::QuestionRouter;
 pub use ctk_tpo::{PrecisionTarget, StopReason};
 pub use error::ServiceError;

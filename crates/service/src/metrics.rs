@@ -22,14 +22,13 @@ pub struct ServiceMetrics {
     pub completed: u64,
     /// Sessions that ended in a driver error.
     pub failed: u64,
-    /// Sessions whose round was cut short by an exhausted crowd at least
-    /// once (they still complete, with fewer questions than budgeted).
+    /// Batches cut short by an exhausted crowd (the sessions still
+    /// complete, with fewer questions than budgeted).
     pub starved: u64,
-    /// Scheduling rounds executed (tick mode: ticks; event mode: pump
-    /// sweeps that made progress).
+    /// Sweeps over all shards that made progress.
     pub rounds: u64,
-    /// Worker threads the round loop shards gather/feed work over (1 =
-    /// the sequential loop; reports are identical at every setting).
+    /// Worker threads each shard's gather phase fans out over (1 =
+    /// sequential; reports are identical at every setting).
     pub worker_threads: usize,
     /// Answers delivered to sessions (cached + live).
     pub answers_served: u64,
@@ -50,12 +49,10 @@ pub struct ServiceMetrics {
     /// ordered prefix before sampling — decided without any crowd
     /// questions or worlds.
     pub certain_early_stops: u64,
-    /// Events drained from the shards' ready-queues (lifecycle markers
-    /// only in tick mode; the full event taxonomy in event mode).
+    /// Events drained from the shards' ready-queues.
     pub events_processed: u64,
     /// Budget-grant units the reconciler issued to shards (0 until a
-    /// session parks on an exhausted grant; tick mode grants implicitly
-    /// at purchase time, counted in the shard ledgers instead).
+    /// session parks on an exhausted grant).
     pub budget_granted: u64,
     /// Wall time spent inside the run loop (selection, crowd calls,
     /// updates).
@@ -125,7 +122,7 @@ impl ServiceMetrics {
         }
     }
 
-    /// Credits one sweep's wall time to `shard` (threaded topology).
+    /// Credits one sweep's wall time to `shard`.
     pub(crate) fn record_shard_sweep(&mut self, shard: usize, took: Duration) {
         if let Some(slot) = self.shard_sweep_time.get_mut(shard) {
             *slot += took;
@@ -204,8 +201,8 @@ impl ServiceMetrics {
         &self.shard_completed
     }
 
-    /// Cumulative sweep wall time per shard (all zero outside the
-    /// threaded topology, where sweeps have no per-shard boundary).
+    /// Cumulative sweep wall time per shard, in place and on the threaded
+    /// topology alike.
     pub fn shard_sweep_time(&self) -> &[Duration] {
         &self.shard_sweep_time
     }

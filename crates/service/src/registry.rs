@@ -7,16 +7,16 @@
 //! increasing id subsequence and resolves lookups by binary search.
 //! [`Registry::entries_mut_in_order`] hands out disjoint `&mut` entries
 //! for a planned id set in plan order, which is what lets the service fan
-//! a round's driver work out over scoped worker threads without interior
+//! a sweep's gather work out over scoped worker threads without interior
 //! mutability or locking.
 
 use crate::batcher::ServedAnswer;
+use crate::shard::Pending;
 use ctk_core::driver::SessionDriver;
 use ctk_core::session::{SessionConfig, UrReport};
 use ctk_core::CoreError;
 use ctk_crowd::{BudgetLedger, Question, RouteHint};
 use ctk_tpo::PrecisionTarget;
-use std::collections::VecDeque;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -36,10 +36,10 @@ pub enum SessionState {
     /// Registered and runnable: the scheduler may request its next batch.
     Queued,
     /// Questions are on the wire; the session waits for crowd answers
-    /// (transient within one service round).
+    /// (transient within one sweep).
     AwaitingAnswers,
-    /// Event mode only: the session has unresolved questions its shard
-    /// holds no budget grant for — parked until the reconciler issues a
+    /// The session has unresolved questions its shard holds no budget
+    /// grant for — parked until the reconciler issues a
     /// [`crate::shard::Event::BudgetGranted`] or the service force-starves
     /// it at quiescence. Blocked on external input, not on computation.
     AwaitingBudget,
@@ -104,31 +104,27 @@ pub(crate) struct SessionEntry {
     pub(crate) error: Option<CoreError>,
     pub(crate) submitted_at: Instant,
     pub(crate) latency: Option<Duration>,
-    /// Event mode: hinted questions of the current batch not yet resolved
-    /// (front = next to serve). Non-empty only while `AwaitingAnswers`
+    /// Hinted questions of the current batch not yet resolved (front =
+    /// next to serve). Non-empty only while `AwaitingAnswers`
     /// (mid-resolve) or `AwaitingBudget` (parked on a grant).
-    pub(crate) pending: VecDeque<(Question, RouteHint)>,
-    /// Event mode: answers resolved so far for the current batch, in
-    /// request order — the session's mailbox, delivered on
+    pub(crate) pending: Pending,
+    /// Answers resolved so far for the current batch, in request order —
+    /// the session's mailbox, delivered on
     /// [`crate::shard::Event::AnswersReady`].
     pub(crate) served: Vec<ServedAnswer>,
-    /// Event mode: how many questions the current batch posed.
+    /// How many questions the current batch posed.
     pub(crate) requested: usize,
-    /// Event mode: how many of `served` came from the cache.
-    pub(crate) batch_hits: usize,
 }
 
 impl SessionEntry {
-    /// Arms the entry for one event-mode batch: the hinted questions
-    /// become the pending queue, the mailbox empties, and the session
-    /// moves to `AwaitingAnswers` (shared by the in-place sweep and the
-    /// threaded workers, so both arm identically).
+    /// Arms the entry for one batch: the hinted questions become the
+    /// pending queue, the mailbox empties, and the session moves to
+    /// `AwaitingAnswers`.
     pub(crate) fn begin_batch(&mut self, hinted: Vec<(Question, RouteHint)>) {
         self.state = SessionState::AwaitingAnswers;
         self.requested = hinted.len();
         self.pending = hinted.into_iter().collect();
         self.served.clear();
-        self.batch_hits = 0;
     }
 }
 
@@ -168,10 +164,9 @@ impl Registry {
             // ctk-allow(det-wall-clock): wall-clock latency metric only; never feeds scheduling or results
             submitted_at: Instant::now(),
             latency: None,
-            pending: VecDeque::new(),
+            pending: Pending::new(),
             served: Vec::new(),
             requested: 0,
-            batch_hits: 0,
         });
     }
 
@@ -188,7 +183,7 @@ impl Registry {
     }
 
     /// Disjoint `&mut` borrows of the entries named by `ids`, returned in
-    /// the order `ids` lists them — the shard set of one service round.
+    /// the order `ids` lists them — the planned set of one sweep.
     /// `ids` must be duplicate-free and every id must exist (invariants
     /// of the scheduler's plan). Violations panic in release builds too:
     /// the caller pairs this result with `ids` positionally, so a
@@ -215,7 +210,7 @@ impl Registry {
         picked.into_iter().map(|(_, e)| e).collect()
     }
 
-    /// Sessions the scheduler may serve this round, with their priority.
+    /// Sessions the scheduler may serve this sweep, with their priority.
     pub(crate) fn runnable(&self) -> Vec<(SessionId, u8)> {
         self.entries
             .iter()
@@ -249,7 +244,7 @@ impl Registry {
             .count()
     }
 
-    /// Sessions parked on a budget grant (event mode), in id order.
+    /// Sessions parked on a budget grant, in id order.
     pub(crate) fn parked(&self) -> Vec<SessionId> {
         self.entries
             .iter()

@@ -1,41 +1,33 @@
 //! The serving loop: multiplexes many [`SessionDriver`]s over one shared
-//! crowd backend, in one of two run modes over a shard-owned core
+//! crowd backend through event sweeps over a shard-owned core
 //! (DESIGN.md §14).
 //!
 //! Sessions are strided across [`Shard`]s by id; each shard owns its
-//! registry, scheduler queues, budget-grant ledger and an event
-//! ready-queue end to end. The answer cache shards separately, by
-//! question hash, because an answer is a fact about a pair of objects,
-//! not about the session that asked.
+//! registry, scheduler queues and an event ready-queue end to end, and
+//! the service keeps one budget-grant ledger per shard beside the crowd.
+//! The answer cache shards separately, by question hash, because an
+//! answer is a fact about a pair of objects, not about the session that
+//! asked.
 //!
-//! **Tick mode** ([`RunMode::Tick`], the default) preserves the classic
-//! barrier round bit-exactly: the **gather** phase (sharded across
-//! `std::thread::scope` worker chunks) asks every scheduled driver for
-//! its next question batch; the **purchase** phase (sequential, single
-//! crowd) funnels the merged demand through the cache-first batcher so
-//! budget accounting and cache semantics are identical to the
-//! single-threaded loop; the **feed** phase (sharded again) applies the
-//! answers to each session's belief. At one shard this *is* the
-//! pre-refactor loop — pinned by the `many_tenants` suite.
-//!
-//! **Event mode** ([`RunMode::Event`]) replaces the barrier with
-//! [`TopKService::pump`] sweeps that drain each shard's typed ready-queue
-//! ([`Event`]): sessions resolve their batches independently, spend crowd
-//! budget only through grants the reconciler issues against parked
-//! demand, and a sweep that neither schedules, drains, nor grants is
+//! Each [`TopKService::pump`] runs one sweep per shard in index order
+//! (`Shard::sweep`): drain the shard's typed ready-queue ([`Event`]),
+//! plan, gather the planned drivers' next batches, and resolve each batch
+//! cache-first, crowd-second. Sessions spend crowd budget only through
+//! grants the reconciler issues against parked demand after the shards
+//! have swept, and a sweep that neither schedules, drains, nor grants is
 //! decisively *not* progress — which is how
 //! [`TopKService::run_until_quiescent`] tells "blocked on the crowd"
 //! ([`Quiescence::BlockedOnCrowd`]) apart from a livelock.
 //!
-//! **Threaded event mode** ([`RunMode::EventThreaded`], DESIGN.md §15)
-//! runs the same event sweeps with each shard owned end to end by a
-//! dedicated worker thread, the calling thread coordinating the two
+//! The two run modes differ only in where the sweeps run.
+//! [`RunMode::Event`] (the default) sweeps in place on the calling
+//! thread. [`RunMode::EventThreaded`] (DESIGN.md §15) sweeps each shard
+//! on a dedicated worker thread, the calling thread coordinating the two
 //! global phases — the cache-first purchase merge and the grant
 //! reconciler — over `mpsc` channels at an explicit shard-order barrier
-//! (see the `topology` module). Reports are `same_outcome` with
-//! single-threaded event mode at every (shards, threads) combination,
-//! because both modes drive one shared purchase-loop implementation
-//! through the identical global operation order.
+//! (see the `topology` module). Both run the same sweep and the same
+//! purchase loop through the identical global operation order, so
+//! reports are `same_outcome` at every (shards, threads) combination.
 //!
 //! Drivers are independent state machines (`SessionDriver: Send`,
 //! disjoint `&mut` borrows via the shard-aware registry); every
@@ -44,18 +36,16 @@
 //! per-tenant reports are deterministic at any worker thread count and
 //! any fixed shard count.
 
-use crate::batcher::{
-    resolve_pending, resolve_round_routed, Disposition, SessionAnswers, ShardedAnswerCache,
-};
+use crate::batcher::{resolve_pending, ShardedAnswerCache};
 use crate::error::ServiceError;
 use crate::metrics::ServiceMetrics;
-use crate::registry::{Registry, SessionEntry, SessionId, SessionSpec, SessionState};
+use crate::registry::{Registry, SessionId, SessionSpec, SessionState};
 use crate::scheduler::Scheduler;
-use crate::shard::{Event, Quiescence, Shard, ShardLedger};
-use ctk_core::driver::{DriverStatus, SessionDriver};
+use crate::shard::{reconcile, Event, Pending, Quiescence, Shard, ShardLedger};
+use ctk_core::driver::SessionDriver;
 use ctk_core::session::UrReport;
 use ctk_core::{CoreError, Result};
-use ctk_crowd::{Crowd, Question, RouteHint};
+use ctk_crowd::Crowd;
 use ctk_prob::compare::PairwiseMatrix;
 use ctk_prob::{TopKBounds, UncertainTable};
 use ctk_quality::QuestionRouter;
@@ -64,18 +54,15 @@ use ctk_tpo::build::Engine;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How the service advances its sessions.
+/// Where [`TopKService::run_until_quiescent`] runs the shard sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RunMode {
-    /// Classic barrier rounds: every [`TopKService::tick`] plans,
-    /// gathers, purchases and feeds in lock-step. At one shard this is
-    /// the pre-shard loop, preserved bit-exactly.
+    /// In place: [`TopKService::pump`] sweeps each shard's ready-queue
+    /// on the calling thread and resolves sessions independently,
+    /// spending crowd budget only through reconciled grants.
+    /// Blocked-on-crowd is distinguishable from idle (see
+    /// [`Quiescence`]).
     #[default]
-    Tick,
-    /// Event-driven sweeps: [`TopKService::pump`] drains each shard's
-    /// ready-queue and resolves sessions independently, spending crowd
-    /// budget only through reconciled grants. Blocked-on-crowd is
-    /// distinguishable from idle (see [`Quiescence`]).
     Event,
     /// Event sweeps on the threaded topology: one worker thread per
     /// shard, the calling thread coordinating purchases and grants at a
@@ -85,7 +72,7 @@ pub enum RunMode {
     EventThreaded,
 }
 
-/// What one scheduling round (tick) or sweep (pump) did.
+/// What one sweep over all shards did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundOutcome {
     /// Sessions the scheduler picked.
@@ -99,12 +86,12 @@ pub struct RoundOutcome {
     /// Events drained from shard ready-queues (lifecycle markers, answer
     /// deliveries, budget grants being consumed).
     pub events: u64,
-    /// Budget-grant units the reconciler issued this sweep (event mode).
+    /// Budget-grant units the reconciler issued this sweep.
     pub budget_granted: u64,
 }
 
 impl RoundOutcome {
-    /// True when the round moved any session forward — or issued a grant
+    /// True when the sweep moved any session forward — or issued a grant
     /// that will. A sweep that neither schedules, drains, finishes, nor
     /// grants cannot unblock anything by being repeated.
     pub fn progressed(&self) -> bool {
@@ -115,8 +102,7 @@ impl RoundOutcome {
             || self.budget_granted > 0
     }
 
-    /// Folds a sub-outcome in (the threaded coordinator merges worker
-    /// sweep outcomes in shard order).
+    /// Folds a shard's sweep outcome in (in shard order).
     pub(crate) fn merge(&mut self, other: &RoundOutcome) {
         self.scheduled += other.scheduled;
         self.answers_served += other.answers_served;
@@ -201,9 +187,9 @@ impl RegistryView<'_> {
 /// A multi-tenant top-K query service over one crowd backend.
 ///
 /// Sessions are submitted with [`TopKService::submit`] and served in
-/// rounds: each [`TopKService::tick`] asks the scheduler which sessions
-/// run, gathers their next question batches from the sans-IO drivers,
-/// deduplicates the batch through the answer cache, spends crowd budget
+/// sweeps: each [`TopKService::pump`] asks every shard's scheduler which
+/// sessions run, gathers their next question batches from the sans-IO
+/// drivers, resolves them through the answer cache, spends crowd budget
 /// only on cache misses, and feeds the answers back. With reliable
 /// (accuracy-1) workers, every session's final report is identical to the
 /// one a standalone [`ctk_core::session::UrSession::run`] produces under
@@ -255,8 +241,8 @@ pub struct TopKService<C: Crowd> {
     next_id: u64,
     run_mode: RunMode,
     metrics: ServiceMetrics,
-    /// Worker threads the gather/feed phases shard over (>= 1; 1 runs the
-    /// classic sequential loop, any value produces bit-identical reports).
+    /// Worker threads each shard's gather phase fans out over (>= 1; 1
+    /// gathers sequentially, any value produces bit-identical reports).
     threads: usize,
     /// Per-shard scheduler fanout, remembered so `with_shards` can rebuild.
     fanout: Option<usize>,
@@ -280,8 +266,9 @@ pub struct TopKService<C: Crowd> {
 }
 
 impl<C: Crowd> TopKService<C> {
-    /// A service over `crowd` with one shard, unbounded per-round fanout,
-    /// tick run mode, sharding round work over all available cores.
+    /// A service over `crowd` with one shard, unbounded per-sweep fanout,
+    /// the in-place event run mode, and the gather phase fanned out over
+    /// all available cores.
     pub fn new(crowd: C) -> Self {
         let threads = default_threads();
         let mut metrics = ServiceMetrics::default();
@@ -290,7 +277,7 @@ impl<C: Crowd> TopKService<C> {
         Self {
             crowd,
             cache: ShardedAnswerCache::new(1),
-            shards: vec![Shard::new(None)],
+            shards: vec![Shard::new(0, None)],
             ledgers: vec![ShardLedger::default()],
             next_id: 0,
             run_mode: RunMode::default(),
@@ -319,14 +306,14 @@ impl<C: Crowd> TopKService<C> {
             });
         }
         let n = shards.max(1);
-        self.shards = (0..n).map(|_| Shard::new(self.fanout)).collect();
+        self.shards = (0..n).map(|i| Shard::new(i, self.fanout)).collect();
         self.ledgers = vec![ShardLedger::default(); n];
         self.cache = ShardedAnswerCache::new(n);
         self.metrics.init_shards(n);
         Ok(self)
     }
 
-    /// Bounds how many sessions are served per round *per shard*
+    /// Bounds how many sessions are served per sweep *per shard*
     /// (builder style).
     pub fn with_fanout(mut self, fanout: usize) -> Self {
         self.fanout = Some(fanout);
@@ -336,18 +323,19 @@ impl<C: Crowd> TopKService<C> {
         self
     }
 
-    /// Selects the run mode (builder style): barrier ticks or
-    /// event-driven sweeps. Both modes produce equal per-tenant reports
-    /// on reliable crowds with sufficient budget (pinned by tests).
+    /// Selects the run mode (builder style): sweeps in place or on
+    /// per-shard worker threads. Both modes produce `same_outcome`
+    /// per-tenant reports (pinned by tests).
     pub fn with_run_mode(mut self, mode: RunMode) -> Self {
         self.run_mode = mode;
         self
     }
 
-    /// Sets how many worker threads the round loop shards session work
-    /// over (builder style). `0` means all available cores; `1` runs the
-    /// sequential loop. Reports are bit-identical at every setting — the
-    /// knob only trades wall clock.
+    /// Sets how many worker threads each shard's gather phase — the
+    /// drivers' next-batch computation — fans out over (builder style).
+    /// `0` means all available cores; `1` gathers sequentially. Reports
+    /// are bit-identical at every setting — the knob only trades wall
+    /// clock.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 {
             default_threads()
@@ -358,7 +346,7 @@ impl<C: Crowd> TopKService<C> {
         self
     }
 
-    /// Worker threads the round loop shards over.
+    /// Worker threads the gather phase fans out over.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -381,8 +369,10 @@ impl<C: Crowd> TopKService<C> {
 
     /// Routes live questions by belief margin (builder style): questions
     /// the asking session is still torn about (margin below the router's
-    /// narrow threshold) are hinted [`RouteHint::Expert`], near-settled
-    /// ones [`RouteHint::Cheap`]. Only crowds that implement
+    /// narrow threshold) are hinted
+    /// [`RouteHint::Expert`](ctk_crowd::RouteHint::Expert), near-settled
+    /// ones [`RouteHint::Cheap`](ctk_crowd::RouteHint::Cheap). Only crowds
+    /// that implement
     /// [`Crowd::ask_routed`] beyond the default act on the hints.
     pub fn with_router(mut self, router: QuestionRouter) -> Self {
         self.router = Some(router);
@@ -493,407 +483,64 @@ impl<C: Crowd> TopKService<C> {
         (id.0 % self.shards.len() as u64) as usize
     }
 
-    /// Sessions not yet done or failed, across all shards.
-    fn active(&self) -> usize {
-        self.shards.iter().map(|sh| sh.registry.active()).sum()
-    }
-
-    /// Runs one barrier scheduling round. Returns what happened; a round
-    /// over an idle service is a no-op.
-    ///
-    /// The round is three phases: gather (sharded), purchase
-    /// (sequential), feed (sharded) — see the module docs. All lifecycle
-    /// transitions and metrics happen in the sequential merge steps, in
-    /// shard-major plan order, so the outcome is independent of the
-    /// thread count, and at one shard bit-identical to the pre-shard
-    /// loop.
-    pub fn tick(&mut self) -> RoundOutcome {
-        // ctk-allow(det-wall-clock): round-duration metric only; never feeds a decision
-        let t0 = Instant::now();
-        let mut outcome = RoundOutcome::default();
-        for s in 0..self.shards.len() {
-            self.drain_ready(s, &mut outcome);
-        }
-        // Mixed-mode safety: sessions parked by event pumping resume here
-        // ungated (tick spends at purchase time, not through grants).
-        let parked: Vec<(usize, SessionId)> = self
-            .shards
-            .iter()
-            .enumerate()
-            .flat_map(|(s, sh)| sh.registry.parked().into_iter().map(move |id| (s, id)))
-            .collect();
-        if !parked.is_empty() {
-            for (s, id) in parked {
-                self.resolve_session(s, id, false, &mut outcome);
-            }
-            for s in 0..self.shards.len() {
-                self.drain_ready(s, &mut outcome);
-            }
-        }
-
-        if self
-            .shards
-            .iter()
-            .all(|sh| sh.registry.runnable().is_empty())
-        {
-            return outcome;
-        }
-        self.metrics.rounds += 1;
-        let plans: Vec<Vec<SessionId>> = self
-            .shards
-            .iter_mut()
-            .map(|sh| {
-                let runnable = sh.registry.runnable();
-                sh.scheduler.plan_round(&runnable)
-            })
-            .collect();
-        let planned: Vec<(usize, SessionId)> = plans
-            .iter()
-            .enumerate()
-            .flat_map(|(s, plan)| plan.iter().map(move |&id| (s, id)))
-            .collect();
-        outcome.scheduled = planned.len();
-
-        // Gather phase (sharded): every scheduled driver computes its
-        // next batch. The allowance is the *session's* remaining budget
-        // only — the shared crowd's budget deliberately does not gate
-        // emission, because the answer cache can serve a question at zero
-        // crowd cost; only questions that actually need a live answer
-        // starve (per-question, in the batcher below).
-        let gathered = {
-            let mut entries: Vec<&mut SessionEntry> = self
-                .shards
-                .iter_mut()
-                .zip(&plans)
-                .flat_map(|(sh, plan)| sh.registry.entries_mut_in_order(plan))
-                .collect();
-            run_sharded(&mut entries, self.threads, |entry| {
-                let allowance = entry.ledger.remaining();
-                // ctk-allow(panic-unwrap): queued entries always hold a driver; a silent skip would misattribute answers
-                let driver = entry.driver.as_mut().expect("queued session has driver");
-                driver.next_batch(allowance)
-            })
-        };
-
-        // Merge: per-shard question demand funnels into one request list
-        // in shard-major plan order; lifecycle transitions happen here,
-        // sequentially. When a router is configured, each question is
-        // tagged with the hint its session's *current* belief margin
-        // implies — computed here, before any of this round's answers
-        // move the belief.
-        let router = self.router;
-        let mut requests: Vec<(SessionId, Vec<(Question, RouteHint)>)> =
-            Vec::with_capacity(planned.len());
-        for (&(s, id), batch) in planned.iter().zip(gathered) {
-            match batch {
-                Ok(batch) if batch.is_empty() => {
-                    self.finalize(id);
-                    outcome.finished += 1;
-                }
-                Ok(batch) => {
-                    let entry = self.shards[s]
-                        .registry
-                        .get_mut(id)
-                        .expect("scheduled id exists"); // ctk-allow(panic-unwrap): plan ids come from this shard's registry this round
-                    entry.state = SessionState::AwaitingAnswers;
-                    requests.push((id, hint_batch(router.as_ref(), entry, batch)));
-                }
-                Err(err) => {
-                    self.fail(id, err);
-                    outcome.finished += 1;
-                }
-            }
-        }
-
-        // Purchase phase (sequential): resolve the cross-session batch
-        // cache-first, crowd-second. The single crowd walk in plan order
-        // keeps budget accounting and cache population identical to the
-        // sequential loop regardless of how the other phases shard.
-        // ctk-allow(det-wall-clock): purchase-duration metric only; never feeds a decision
-        let p0 = Instant::now();
-        let (served, stats) = resolve_round_routed(&requests, &mut self.crowd, &mut self.cache);
-        self.metrics.purchase_time += p0.elapsed();
-        for sa in &served {
-            let s = self.shard_of(sa.id);
-            let live = sa.answers.iter().filter(|a| !a.cached).count() as u64;
-            self.ledgers[s].note_spend(live);
-            self.metrics
-                .record_shard_answers(s, sa.answers.len() as u64);
-        }
-
-        // Feed phase (sharded): apply each session's answers, each with
-        // the accuracy it was actually bought at (a cached answer keeps
-        // its purchase-time accuracy even if the backend's policy drifted
-        // since). Ledger votes count *live* crowd interactions; cache
-        // hits consume session budget but no crowd budget.
-        let fed = {
-            let mut by_shard: Vec<Vec<SessionId>> = vec![Vec::new(); self.shards.len()];
-            for sa in &served {
-                by_shard[self.shard_of(sa.id)].push(sa.id);
-            }
-            // `served` is in shard-major plan order, so the per-shard
-            // concatenation below aligns positionally with it.
-            let entries: Vec<&mut SessionEntry> = self
-                .shards
-                .iter_mut()
-                .zip(&by_shard)
-                .flat_map(|(sh, ids)| sh.registry.entries_mut_in_order(ids))
-                .collect();
-            let mut work: Vec<(&mut SessionEntry, &SessionAnswers)> =
-                entries.into_iter().zip(served.iter()).collect();
-            run_sharded(&mut work, self.threads, |(entry, sa)| {
-                for ans in &sa.answers {
-                    entry.ledger.record(ans.answer, usize::from(!ans.cached));
-                }
-                let graded: Vec<_> = sa.answers.iter().map(|a| (a.answer, a.accuracy)).collect();
-                // ctk-allow(panic-unwrap): awaiting entries always hold a driver; loud failure beats misattribution
-                let driver = entry.driver.as_mut().expect("awaiting session has driver");
-                driver.feed_graded(&graded)
-            })
-        };
-        for (sa, status) in served.iter().zip(fed) {
-            if sa.starved() {
-                self.metrics.starved += 1;
-            }
-            match status {
-                Ok(DriverStatus::Done) => {
-                    self.finalize(sa.id);
-                    outcome.finished += 1;
-                }
-                Ok(DriverStatus::Active) => {
-                    let s = self.shard_of(sa.id);
-                    self.shards[s]
-                        .registry
-                        .get_mut(sa.id)
-                        .expect("served id exists") // ctk-allow(panic-unwrap): served ids come from this round's plan
-                        .state = SessionState::Queued;
-                }
-                Err(err) => {
-                    self.fail(sa.id, err);
-                    outcome.finished += 1;
-                }
-            }
-        }
-
-        outcome.answers_served += stats.answers_served;
-        outcome.cache_hits += stats.cache_hits;
-        self.metrics.answers_served += stats.answers_served;
-        self.metrics.crowd_questions += stats.crowd_questions;
-        self.metrics.cache_hits += stats.cache_hits;
-        self.metrics.routed_expert += stats.routed_expert;
-        self.metrics.routed_cheap += stats.routed_cheap;
-        self.metrics.serving_time += t0.elapsed();
-        outcome
-    }
-
-    /// Runs one event-driven sweep: per shard in index order, drain the
-    /// ready-queue, schedule and gather runnable sessions, resolve each
-    /// batch against cache and grants, drain again so same-sweep
-    /// deliveries complete, then reconcile budget grants against parked
-    /// demand. Deterministic at any fixed shard count. (Calling this
-    /// directly on an [`RunMode::EventThreaded`] service runs the
-    /// identical sweep in place — manual pumping is single-threaded; the
-    /// worker topology exists only inside
-    /// [`TopKService::run_until_quiescent`], and produces the same
-    /// reports.)
+    /// Runs one sweep over all shards, in index order (see
+    /// `Shard::sweep`), then reconciles budget grants against the
+    /// demand of the sessions left parked. Deterministic at any fixed
+    /// shard count. (Calling this directly on an
+    /// [`RunMode::EventThreaded`] service runs the identical sweep in
+    /// place — manual pumping is single-threaded; the worker topology
+    /// exists only inside [`TopKService::run_until_quiescent`], and
+    /// produces the same reports.)
     pub fn pump(&mut self) -> RoundOutcome {
         // ctk-allow(det-wall-clock): sweep-duration metric only; never feeds a decision
         let t0 = Instant::now();
-        let mut outcome = RoundOutcome::default();
-        let router = self.router;
-        for s in 0..self.shards.len() {
-            self.drain_ready(s, &mut outcome);
-            let plan = {
-                let sh = &mut self.shards[s];
-                let runnable = sh.registry.runnable();
-                sh.scheduler.plan_round(&runnable)
-            };
-            outcome.scheduled += plan.len();
-            let gathered = {
-                let sh = &mut self.shards[s];
-                let mut entries = sh.registry.entries_mut_in_order(&plan);
-                run_sharded(&mut entries, self.threads, |entry| {
-                    let allowance = entry.ledger.remaining();
-                    // ctk-allow(panic-unwrap): queued entries always hold a driver; a silent skip would misattribute answers
-                    let driver = entry.driver.as_mut().expect("queued session has driver");
-                    driver.next_batch(allowance)
-                })
-            };
-            for (id, batch) in plan.iter().copied().zip(gathered) {
-                match batch {
-                    Ok(batch) if batch.is_empty() => {
-                        self.finalize(id);
-                        outcome.finished += 1;
-                    }
-                    Ok(batch) => {
-                        let entry = self.shards[s]
-                            .registry
-                            .get_mut(id)
-                            .expect("scheduled id exists"); // ctk-allow(panic-unwrap): plan ids come from this shard's registry this sweep
-                        let hinted = hint_batch(router.as_ref(), entry, batch);
-                        entry.begin_batch(hinted);
-                        self.resolve_session(s, id, true, &mut outcome);
-                    }
-                    Err(err) => {
-                        self.fail(id, err);
-                        outcome.finished += 1;
-                    }
-                }
-            }
-            self.drain_ready(s, &mut outcome);
-        }
-        self.reconcile_budget(&mut outcome);
-        if outcome.progressed() {
-            self.metrics.rounds += 1;
-        }
-        self.metrics.serving_time += t0.elapsed();
-        outcome
-    }
-
-    /// Drains one shard's ready-queue: delivers resolved batches, resumes
-    /// granted sessions, and counts lifecycle markers. Events pushed
-    /// while draining (e.g. `AnswersReady` from a resumed session) are
-    /// drained in the same call.
-    fn drain_ready(&mut self, s: usize, outcome: &mut RoundOutcome) {
-        while let Some(event) = self.shards[s].ready.pop_front() {
-            self.metrics.events_processed += 1;
-            outcome.events += 1;
-            match event {
-                Event::Submitted(_) | Event::Finished(_) => {}
-                Event::AnswersReady(id) => self.deliver(s, id, outcome),
-                Event::BudgetGranted { .. } => {
-                    // Resume every parked session in id order; those the
-                    // grant cannot reach serve their cache hits and park
-                    // again.
-                    for id in self.shards[s].registry.parked() {
-                        self.resolve_session(s, id, true, outcome);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Resolves a session's pending questions cache-first, crowd-second,
-    /// through the shared purchase loop
-    /// ([`crate::batcher::resolve_pending`] — the same implementation the
-    /// threaded coordinator drives). Gated (event mode), a cache miss
-    /// with no grant available parks the session `AwaitingBudget`;
-    /// ungated (tick-style), live asks spend crowd budget directly. A
-    /// crowd that cannot answer decisively starves the batch (prefix-cut,
-    /// exactly the tick batcher's semantics). A fully resolved or starved
-    /// batch posts [`Event::AnswersReady`].
-    fn resolve_session(
-        &mut self,
-        s: usize,
-        id: SessionId,
-        gated: bool,
-        outcome: &mut RoundOutcome,
-    ) {
-        // ctk-allow(det-wall-clock): purchase-duration metric only; never feeds a decision
-        let p0 = Instant::now();
         let Self {
             crowd,
             cache,
             shards,
             ledgers,
             metrics,
+            router,
+            threads,
             ..
         } = self;
-        let Shard {
-            registry, ready, ..
-        } = &mut shards[s];
-        // ctk-allow(panic-unwrap): resolve targets come from this shard's registry
-        let entry = registry.get_mut(id).expect("resolved id exists");
-        let resolution = resolve_pending(
-            &mut entry.pending,
-            gated,
-            &mut ledgers[s],
-            cache,
-            crowd,
-            metrics,
-        );
-        outcome.cache_hits += resolution.cache_hits;
-        entry.batch_hits += resolution.cache_hits as usize;
-        entry.served.extend(resolution.served);
-        match resolution.disposition {
-            Disposition::Parked => {
-                // No grant to spend: park and let the reconciler decide.
-                entry.state = SessionState::AwaitingBudget;
-            }
-            Disposition::Resolved | Disposition::Starved => {
-                entry.state = SessionState::AwaitingAnswers;
-                ready.push_back(Event::AnswersReady(id));
+        let mut outcome = RoundOutcome::default();
+        for (shard, ledger) in shards.iter_mut().zip(ledgers.iter_mut()) {
+            let mut purchase = |pending: &mut Pending, metrics: &mut ServiceMetrics| {
+                Some(resolve_pending(pending, ledger, cache, crowd, metrics))
+            };
+            // In place the purchase always answers, so the sweep always
+            // completes.
+            if let Some(swept) = shard.sweep(*threads, router.as_ref(), metrics, &mut purchase) {
+                outcome.merge(&swept);
             }
         }
-        metrics.purchase_time += p0.elapsed();
-    }
-
-    /// Delivers a resolved batch from the session's mailbox to its
-    /// driver, then advances the lifecycle (requeue, finalize or fail).
-    /// Delegates to the shard-local [`Shard::deliver`] the threaded
-    /// workers share.
-    fn deliver(&mut self, s: usize, id: SessionId, outcome: &mut RoundOutcome) {
-        self.shards[s].deliver(s, id, &mut self.metrics, outcome);
-    }
-
-    /// Reconciles budget grants against parked demand: reclaim every
-    /// shard's unspent grant, then re-grant from the crowd's *current*
-    /// remaining budget in shard order. The reclaim-first discipline
-    /// keeps the sum of outstanding grants within what the crowd can
-    /// serve; issuing zero grants is not progress, which is what lets
-    /// quiescence detection distinguish blocked-on-crowd from livelock.
-    fn reconcile_budget(&mut self, outcome: &mut RoundOutcome) {
-        for ledger in &mut self.ledgers {
-            ledger.reclaim();
-        }
-        let mut pool = self.crowd.remaining();
-        for (shard, ledger) in self.shards.iter_mut().zip(&mut self.ledgers) {
-            if pool == 0 {
-                break;
-            }
-            let want = shard.registry.parked_demand();
-            let granted = want.min(pool);
+        let demands: Vec<usize> = shards
+            .iter()
+            .map(|sh| sh.registry.parked_demand())
+            .collect();
+        let grants = reconcile(ledgers, &demands, crowd.remaining(), metrics, &mut outcome);
+        for (shard, granted) in shards.iter_mut().zip(grants) {
             if granted > 0 {
-                pool -= granted;
-                ledger.grant(granted);
                 shard.ready.push_back(Event::BudgetGranted { granted });
-                self.metrics.budget_granted += granted as u64;
-                outcome.budget_granted += granted as u64;
             }
         }
+        if outcome.progressed() {
+            metrics.rounds += 1;
+        }
+        metrics.serving_time += t0.elapsed();
+        outcome
     }
 
-    /// Runs rounds/sweeps until no further progress is possible by
-    /// computation alone. In tick mode this is completion (tick's
-    /// purchase phase starves sessions decisively, so nothing parks); in
-    /// event mode it is either completion ([`Quiescence::Idle`]) or a set
-    /// of sessions parked on crowd budget that does not exist
+    /// Runs sweeps until no further progress is possible by computation
+    /// alone: either completion ([`Quiescence::Idle`]) or a set of
+    /// sessions parked on crowd budget that does not exist
     /// ([`Quiescence::BlockedOnCrowd`]) — the caller decides whether to
     /// wait for external budget or force-starve
     /// ([`TopKService::run_to_completion`]).
     pub fn run_until_quiescent(&mut self) -> Quiescence {
         match self.run_mode {
-            RunMode::Tick => {
-                while self.active() > 0 {
-                    if !self.tick().progressed() {
-                        break;
-                    }
-                }
-                Quiescence::Idle
-            }
-            RunMode::Event => {
-                while self.pump().progressed() {}
-                let sessions: Vec<SessionId> = self
-                    .shards
-                    .iter()
-                    .flat_map(|sh| sh.registry.parked())
-                    .collect();
-                if sessions.is_empty() {
-                    Quiescence::Idle
-                } else {
-                    Quiescence::BlockedOnCrowd { sessions }
-                }
-            }
+            RunMode::Event => while self.pump().progressed() {},
             RunMode::EventThreaded => {
                 let Self {
                     crowd,
@@ -907,17 +554,26 @@ impl<C: Crowd> TopKService<C> {
                 } = self;
                 crate::topology::run_threaded(
                     crowd, cache, shards, ledgers, metrics, *router, *threads,
-                )
+                );
             }
+        }
+        let sessions: Vec<SessionId> = self
+            .shards
+            .iter()
+            .flat_map(|sh| sh.registry.parked())
+            .collect();
+        if sessions.is_empty() {
+            Quiescence::Idle
+        } else {
+            Quiescence::BlockedOnCrowd { sessions }
         }
     }
 
-    /// Runs until every session is done or failed. When event-mode
-    /// quiescence reports sessions blocked on crowd budget, they are
-    /// force-starved: each parked session is delivered the prefix it did
-    /// resolve — exactly what tick mode's exhausted-crowd path does — so
-    /// its driver winds down and finishes. Returns the accumulated
-    /// metrics.
+    /// Runs until every session is done or failed. When quiescence
+    /// reports sessions blocked on crowd budget, they are force-starved:
+    /// each parked session is delivered the prefix it did resolve — the
+    /// partial batch an exhausted crowd produces — so its driver winds
+    /// down and finishes. Returns the accumulated metrics.
     pub fn run_to_completion(&mut self) -> &ServiceMetrics {
         loop {
             match self.run_until_quiescent() {
@@ -969,40 +625,6 @@ impl<C: Crowd> TopKService<C> {
     pub fn cache(&self) -> &ShardedAnswerCache {
         &self.cache
     }
-
-    fn finalize(&mut self, id: SessionId) {
-        let s = self.shard_of(id);
-        self.shards[s].finalize_session(s, id, &mut self.metrics);
-    }
-
-    fn fail(&mut self, id: SessionId, err: CoreError) {
-        let s = self.shard_of(id);
-        self.shards[s].fail_session(id, err, &mut self.metrics);
-    }
-}
-
-/// Attaches a [`RouteHint`] to every question of a batch: the hint the
-/// session's *current* belief margin implies when a router is
-/// configured, [`RouteHint::Any`] otherwise.
-pub(crate) fn hint_batch(
-    router: Option<&QuestionRouter>,
-    entry: &SessionEntry,
-    batch: Vec<Question>,
-) -> Vec<(Question, RouteHint)> {
-    match router {
-        Some(r) => {
-            // ctk-allow(panic-unwrap): awaiting entries always hold a driver
-            let driver = entry.driver.as_ref().expect("awaiting session has driver");
-            batch
-                .into_iter()
-                .map(|q| {
-                    let hint = r.hint(driver.question_margin(&q));
-                    (q, hint)
-                })
-                .collect()
-        }
-        None => batch.into_iter().map(|q| (q, RouteHint::Any)).collect(),
-    }
 }
 
 /// All available cores (the service's `threads = 0` resolution), read
@@ -1011,49 +633,10 @@ fn default_threads() -> usize {
     ctk_prob::compare::available_cores()
 }
 
-/// Below this many sessions a sharded phase runs inline: spawning scoped
-/// threads costs more than the work they would split.
-const PARALLEL_SESSIONS_MIN: usize = 3;
-
-/// Applies `work` to every item, fanning out over at most `threads`
-/// scoped worker chunks, and returns the results in item order.
-///
-/// Determinism argument: `work` runs once per item on disjoint `&mut`
-/// state, chunk boundaries only decide *where* an item runs, and results
-/// are reassembled by chunk order (= item order). The sequential path is
-/// the `threads == 1` special case of the same code shape, so any thread
-/// count computes the identical result vector.
-pub(crate) fn run_sharded<T: Send, R: Send>(
-    items: &mut [T],
-    threads: usize,
-    work: impl Fn(&mut T) -> R + Sync,
-) -> Vec<R> {
-    let n = items.len();
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 || n < PARALLEL_SESSIONS_MIN {
-        return items.iter_mut().map(&work).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let work = &work;
-    // ctk-allow(det-thread-spawn): disjoint pre-chunked shards; merge happens sequentially in plan order
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|c| s.spawn(move || c.iter_mut().map(work).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(results) => results,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctk_core::driver::DriverStatus;
     use ctk_core::measures::MeasureKind;
     use ctk_core::session::{Algorithm, SessionConfig, UrSession};
     use ctk_crowd::{CrowdSimulator, GroundTruth, PerfectWorker, VotePolicy};
@@ -1209,9 +792,9 @@ mod tests {
                 SessionSpec::new(config(Algorithm::T1On, 1)).with_priority(9),
             )
             .unwrap();
-        // Tick until one finishes: it must be the high-priority one.
+        // Pump until one finishes: it must be the high-priority one.
         loop {
-            svc.tick();
+            svc.pump();
             let done_high = svc.state(high) == Some(SessionState::Done);
             let done_low = svc.state(low) == Some(SessionState::Done);
             if done_high || done_low {
@@ -1316,11 +899,35 @@ mod tests {
     }
 
     #[test]
-    fn idle_tick_is_a_noop() {
+    fn idle_pump_is_a_noop() {
         let mut svc = service(10);
-        let outcome = svc.tick();
+        let outcome = svc.pump();
         assert!(!outcome.progressed());
         assert_eq!(svc.metrics().rounds, 0);
+    }
+
+    #[test]
+    fn pump_records_sweep_time_for_every_shard() {
+        // The in-place sweep is the threaded worker's sweep, so it fills
+        // the per-shard sweep-time gauge too: summary()'s "busiest sweep"
+        // is not a threaded-only number.
+        let mut svc = service(1000)
+            .with_shards(3)
+            .expect("configured before submit");
+        assert_eq!(svc.run_mode(), RunMode::Event, "event is the default");
+        for t in 0..3 {
+            svc.submit(&table(), SessionSpec::new(config(Algorithm::T1On, t)))
+                .unwrap();
+        }
+        assert!(svc.pump().progressed());
+        let sweeps = svc.metrics().shard_sweep_time();
+        assert_eq!(sweeps.len(), 3);
+        for (s, took) in sweeps.iter().enumerate() {
+            assert!(
+                *took > std::time::Duration::ZERO,
+                "shard {s} sweep unrecorded"
+            );
+        }
     }
 
     #[test]
@@ -1380,11 +987,11 @@ mod tests {
     }
 
     #[test]
-    fn event_mode_matches_tick_mode_at_shard_counts() {
+    fn run_modes_agree_at_shard_and_thread_counts() {
         // The run mode and the shard count must both be invisible in the
         // results: a mixed workload on a reliable, amply-budgeted crowd
-        // produces per-tenant reports equal to the classic single-shard
-        // tick loop in every (mode, shards) combination.
+        // produces per-tenant reports equal to the single-shard event
+        // loop in every (mode, shards, threads) combination.
         let algorithms = [
             Algorithm::T1On,
             Algorithm::TbOff,
@@ -1419,16 +1026,14 @@ mod tests {
                 .map(|id| svc.report(id).unwrap().clone())
                 .collect::<Vec<_>>()
         };
-        let reference = run(RunMode::Tick, 1, 1);
+        let reference = run(RunMode::Event, 1, 1);
         for shards in [1usize, 2, 4] {
-            for mode in [RunMode::Tick, RunMode::Event] {
-                let got = run(mode, shards, 1);
-                for (tenant, (a, b)) in reference.iter().zip(&got).enumerate() {
-                    assert!(
-                        a.same_outcome(b),
-                        "tenant {tenant} diverged in {mode:?} mode at {shards} shards"
-                    );
-                }
+            let got = run(RunMode::Event, shards, 1);
+            for (tenant, (a, b)) in reference.iter().zip(&got).enumerate() {
+                assert!(
+                    a.same_outcome(b),
+                    "tenant {tenant} diverged in event mode at {shards} shards"
+                );
             }
             // The threaded topology must agree at every (shards, threads)
             // combination — the tentpole's acceptance matrix.

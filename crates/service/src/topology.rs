@@ -1,8 +1,10 @@
 //! The threaded execution topology ([`crate::RunMode::EventThreaded`],
 //! DESIGN.md §15): each [`Shard`] moves onto a dedicated worker thread
-//! that owns it end to end, while the calling thread becomes the
+//! that runs `Shard::sweep` on it, while the calling thread becomes the
 //! **coordinator** for the two genuinely global phases — the cache-first
-//! purchase merge and the budget-grant reconciler.
+//! purchase merge and the budget-grant reconciler. This module holds only
+//! the channel protocol and the coordinator loop; the sweep itself is the
+//! one the in-place [`crate::TopKService::pump`] runs.
 //!
 //! # Channel protocol
 //!
@@ -16,12 +18,13 @@
 //!   `Sweep` is enqueued before that sweep drains — exactly when the
 //!   single-threaded loop's reconciler-pushed event is seen.
 //! * **requests** (worker → coordinator): [`ShardReq::Resolve`] carries
-//!   one session's unresolved question batch to the purchase barrier;
-//!   [`ShardReq::SweepDone`] closes the shard's turn with its local
-//!   deltas (outcome, metrics, parked set, demand).
-//! * **replies** (coordinator → worker): the [`Resolution`] of one
-//!   `Resolve` — served answers in request order, cache-hit count, and
-//!   whether the session resolved, parked, or starved.
+//!   one session's unresolved questions to the purchase barrier — the
+//!   sweep's purchase callback; [`ShardReq::SweepDone`] closes the
+//!   shard's turn with its local deltas (outcome, metrics, demand).
+//! * **replies** (coordinator → worker): the questions still unresolved
+//!   and the [`Resolution`] of one `Resolve` — served answers in request
+//!   order, cache-hit count, and whether the session resolved, parked,
+//!   or starved.
 //!
 //! # Purchase-barrier ordering argument
 //!
@@ -31,36 +34,31 @@
 //! cross-shard state is crowd + cache + ledgers, and every touch of it
 //! goes through `resolve_pending` **on the coordinator**, which serves
 //! shard 0's request stream to completion (`SweepDone`) before reading
-//! shard 1's, and so on. A worker's own stream is emitted in exactly the
-//! order its single-threaded sweep would resolve sessions (resumed
-//! parked sessions during the opening drain, then planned sessions in
-//! plan order), so the global sequence of crowd asks, cache inserts and
-//! ledger spends is *identical* to [`crate::TopKService::pump`] — which
-//! is why per-tenant reports are `same_outcome` with single-threaded
-//! event mode at every (shards, threads) combination, even against
-//! stateful or noisy crowd backends where ask order changes answers.
-//! Grants are re-funded in shard order at the same barrier, from the
-//! same `SweepDone` demand snapshots the single-threaded reconciler
-//! reads live (nothing mutates a registry between its `SweepDone` and
-//! the reconcile step). What threading buys is overlap of the CPU-heavy
-//! local phases — belief updates, world re-weighting, batch planning —
-//! which BENCH_PR9 measured at ~99% of sweep wall time.
+//! shard 1's, and so on. A worker's stream is emitted by the same sweep
+//! the in-place loop runs, so the global sequence of crowd asks, cache
+//! inserts and ledger spends is *identical* to
+//! [`crate::TopKService::pump`] — which is why per-tenant reports are
+//! `same_outcome` with single-threaded event mode at every
+//! (shards, threads) combination, even against stateful or noisy crowd
+//! backends where ask order changes answers. Grants are re-funded in
+//! shard order at the same barrier, from the same `SweepDone` demand
+//! snapshots the single-threaded reconciler reads live (nothing mutates
+//! a registry between its `SweepDone` and the reconcile step). What
+//! threading buys is overlap of the CPU-heavy local phases — belief
+//! updates, world re-weighting, batch planning.
 
-use crate::batcher::{resolve_pending, Disposition, Resolution, ShardedAnswerCache};
+use crate::batcher::{resolve_pending, Resolution, ShardedAnswerCache};
 use crate::metrics::ServiceMetrics;
-use crate::registry::{SessionId, SessionState};
-use crate::service::{hint_batch, run_sharded, RoundOutcome};
-use crate::shard::{Event, Quiescence, Shard, ShardLedger};
-use ctk_crowd::{Crowd, Question, RouteHint};
+use crate::service::RoundOutcome;
+use crate::shard::{reconcile, Event, Pending, Shard, ShardLedger};
+use ctk_crowd::Crowd;
 use ctk_quality::QuestionRouter;
-use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Coordinator → worker.
 enum ShardCmd {
-    /// Run one event sweep (drain, plan, gather, resolve-via-barrier,
-    /// drain) and answer with [`ShardReq::SweepDone`].
+    /// Run one event sweep and answer with [`ShardReq::SweepDone`].
     Sweep,
     /// Enqueue a reconciler grant on the shard's ready-queue (consumed by
     /// the next sweep's opening drain, like the in-place reconciler's
@@ -72,13 +70,11 @@ enum ShardCmd {
 
 /// Worker → coordinator.
 enum ShardReq {
-    /// One session's unresolved batch, for the purchase barrier. The
+    /// One session's unresolved questions, for the purchase barrier. The
     /// worker blocks on the reply before touching the next session, so a
     /// shard has at most one purchase in flight — the property the
     /// ordering argument rests on.
-    Resolve {
-        pending: VecDeque<(Question, RouteHint)>,
-    },
+    Resolve { pending: Pending },
     /// The sweep finished; local deltas for the coordinator to merge in
     /// shard order.
     SweepDone(Box<SweepReport>),
@@ -87,32 +83,27 @@ enum ShardReq {
 /// What one worker sweep did, merged by the coordinator in shard order.
 struct SweepReport {
     outcome: RoundOutcome,
-    /// Shard-local metric deltas (deliveries, finalizations, latencies);
-    /// purchase-side metrics stay on the coordinator's accumulator.
+    /// Shard-local metric deltas (deliveries, finalizations, latencies,
+    /// sweep time); purchase-side metrics stay on the coordinator's
+    /// accumulator.
     metrics: ServiceMetrics,
-    /// Sessions parked `AwaitingBudget` at sweep end, in id order.
-    parked: Vec<SessionId>,
-    /// Unresolved questions across those parked sessions — the demand the
-    /// reconciler grants against.
+    /// Unresolved questions across the shard's parked sessions at sweep
+    /// end — the demand the reconciler grants against.
     parked_demand: usize,
-    /// Wall time of the whole sweep on the worker thread.
-    sweep_time: Duration,
 }
 
 /// One shard's dedicated thread: owns the [`Shard`] exclusively for the
-/// lifetime of a `run_threaded` call and performs every shard-local phase
-/// itself, deferring only purchases to the coordinator.
+/// lifetime of a `run_threaded` call and sweeps it on command, deferring
+/// only purchases to the coordinator.
 struct Worker<'a> {
-    s: usize,
     shard_count: usize,
-    /// Gather fan-out within the shard (same `run_sharded` the in-place
-    /// loops use; report-invisible by the same argument).
+    /// Gather fan-out within the shard (report-invisible, as in place).
     threads: usize,
     router: Option<QuestionRouter>,
     shard: &'a mut Shard,
     cmds: Receiver<ShardCmd>,
     reqs: Sender<ShardReq>,
-    replies: Receiver<Resolution>,
+    replies: Receiver<(Pending, Resolution)>,
 }
 
 impl Worker<'_> {
@@ -120,148 +111,56 @@ impl Worker<'_> {
     /// unwinding); never panics on shutdown so the coordinator's panic —
     /// or a sibling worker's, propagated at scope join — stays the only
     /// one in flight.
-    fn run(mut self) {
-        while let Ok(cmd) = self.cmds.recv() {
+    fn run(self) {
+        let Worker {
+            shard_count,
+            threads,
+            router,
+            shard,
+            cmds,
+            reqs,
+            replies,
+        } = self;
+        // The purchase step: ship the questions to the barrier and take
+        // back what the coordinator's `resolve_pending` left unresolved.
+        let mut purchase = |pending: &mut Pending, _: &mut ServiceMetrics| {
+            let questions = std::mem::take(pending);
+            reqs.send(ShardReq::Resolve { pending: questions }).ok()?;
+            let (unresolved, resolution) = replies.recv().ok()?;
+            *pending = unresolved;
+            Some(resolution)
+        };
+        while let Ok(cmd) = cmds.recv() {
             match cmd {
                 ShardCmd::Sweep => {
-                    let Some(report) = self.sweep() else { return };
-                    if self
-                        .reqs
-                        .send(ShardReq::SweepDone(Box::new(report)))
-                        .is_err()
-                    {
+                    let mut metrics = ServiceMetrics::default();
+                    metrics.init_shards(shard_count);
+                    let Some(outcome) =
+                        shard.sweep(threads, router.as_ref(), &mut metrics, &mut purchase)
+                    else {
+                        return;
+                    };
+                    let report = SweepReport {
+                        outcome,
+                        metrics,
+                        parked_demand: shard.registry.parked_demand(),
+                    };
+                    if reqs.send(ShardReq::SweepDone(Box::new(report))).is_err() {
                         return;
                     }
                 }
                 ShardCmd::Grant { granted } => {
-                    self.shard.ready.push_back(Event::BudgetGranted { granted });
+                    shard.ready.push_back(Event::BudgetGranted { granted });
                 }
                 ShardCmd::Exit => return,
             }
         }
     }
-
-    /// One event sweep over the owned shard — the per-shard body of
-    /// [`crate::TopKService::pump`], verbatim in order: drain, plan,
-    /// gather, resolve each planned session through the barrier, drain
-    /// again. Returns `None` when the coordinator is gone mid-sweep.
-    fn sweep(&mut self) -> Option<SweepReport> {
-        // ctk-allow(det-wall-clock): per-shard sweep-time gauge only; never feeds a decision
-        let t0 = Instant::now();
-        let mut metrics = ServiceMetrics::default();
-        metrics.init_shards(self.shard_count);
-        let mut outcome = RoundOutcome::default();
-        self.drain_ready(&mut metrics, &mut outcome)?;
-        let plan = {
-            let runnable = self.shard.registry.runnable();
-            self.shard.scheduler.plan_round(&runnable)
-        };
-        outcome.scheduled += plan.len();
-        let gathered = {
-            let mut entries = self.shard.registry.entries_mut_in_order(&plan);
-            run_sharded(&mut entries, self.threads, |entry| {
-                let allowance = entry.ledger.remaining();
-                // ctk-allow(panic-unwrap): queued entries always hold a driver; a silent skip would misattribute answers
-                let driver = entry.driver.as_mut().expect("queued session has driver");
-                driver.next_batch(allowance)
-            })
-        };
-        for (id, batch) in plan.iter().copied().zip(gathered) {
-            match batch {
-                Ok(batch) if batch.is_empty() => {
-                    self.shard.finalize_session(self.s, id, &mut metrics);
-                    outcome.finished += 1;
-                }
-                Ok(batch) => {
-                    let entry = self
-                        .shard
-                        .registry
-                        .get_mut(id)
-                        .expect("scheduled id exists"); // ctk-allow(panic-unwrap): plan ids come from this shard's registry this sweep
-                    let hinted = hint_batch(self.router.as_ref(), entry, batch);
-                    entry.begin_batch(hinted);
-                    self.resolve_at_barrier(id)?;
-                }
-                Err(err) => {
-                    self.shard.fail_session(id, err, &mut metrics);
-                    outcome.finished += 1;
-                }
-            }
-        }
-        self.drain_ready(&mut metrics, &mut outcome)?;
-        Some(SweepReport {
-            outcome,
-            metrics,
-            parked: self.shard.registry.parked(),
-            parked_demand: self.shard.registry.parked_demand(),
-            sweep_time: t0.elapsed(),
-        })
-    }
-
-    /// Drains the ready-queue exactly like the in-place
-    /// `TopKService::drain_ready`: deliveries and finalizations are
-    /// shard-local; a `BudgetGranted` resumes parked sessions in id
-    /// order, each through the purchase barrier. `None` = coordinator
-    /// gone.
-    fn drain_ready(
-        &mut self,
-        metrics: &mut ServiceMetrics,
-        outcome: &mut RoundOutcome,
-    ) -> Option<()> {
-        while let Some(event) = self.shard.ready.pop_front() {
-            metrics.events_processed += 1;
-            outcome.events += 1;
-            match event {
-                Event::Submitted(_) | Event::Finished(_) => {}
-                Event::AnswersReady(id) => self.shard.deliver(self.s, id, metrics, outcome),
-                Event::BudgetGranted { .. } => {
-                    for id in self.shard.registry.parked() {
-                        self.resolve_at_barrier(id)?;
-                    }
-                }
-            }
-        }
-        Some(())
-    }
-
-    /// Ships one session's pending batch to the coordinator's purchase
-    /// barrier and applies the [`Resolution`] — the exact state
-    /// transitions `TopKService::resolve_session` performs in place.
-    /// `None` when the coordinator hung up (it is unwinding; this worker
-    /// returns quietly so the real panic propagates alone).
-    fn resolve_at_barrier(&mut self, id: SessionId) -> Option<()> {
-        let pending = self
-            .shard
-            .registry
-            .get_mut(id)
-            .expect("resolved id exists") // ctk-allow(panic-unwrap): resolve targets come from this shard's registry
-            .pending
-            .clone();
-        self.reqs.send(ShardReq::Resolve { pending }).ok()?;
-        let resolution = self.replies.recv().ok()?;
-        let entry = self.shard.registry.get_mut(id).expect("resolved id exists"); // ctk-allow(panic-unwrap): same id as above
-        for _ in 0..resolution.served.len() {
-            entry.pending.pop_front();
-        }
-        entry.batch_hits += resolution.cache_hits as usize;
-        entry.served.extend(resolution.served);
-        match resolution.disposition {
-            Disposition::Parked => entry.state = SessionState::AwaitingBudget,
-            Disposition::Resolved | Disposition::Starved => {
-                if resolution.disposition == Disposition::Starved {
-                    entry.pending.clear();
-                }
-                entry.state = SessionState::AwaitingAnswers;
-                self.shard.ready.push_back(Event::AnswersReady(id));
-            }
-        }
-        Some(())
-    }
 }
 
-/// Runs the event loop to quiescence on the threaded topology: one
-/// worker thread per shard (scoped — no detached threads), the calling
-/// thread as coordinator. Equivalent to looping
+/// Runs the event loop until a sweep makes no progress, on the threaded
+/// topology: one worker thread per shard (scoped — no detached threads),
+/// the calling thread as coordinator. Equivalent to looping
 /// [`crate::TopKService::pump`] by the ordering argument in the module
 /// docs; the scope spans all sweeps of the call, so workers are spawned
 /// once, not per sweep.
@@ -273,7 +172,7 @@ pub(crate) fn run_threaded<C: Crowd>(
     metrics: &mut ServiceMetrics,
     router: Option<QuestionRouter>,
     threads: usize,
-) -> Quiescence {
+) {
     let n = shards.len();
     let mut cmd_txs = Vec::with_capacity(n);
     let mut req_rxs = Vec::with_capacity(n);
@@ -293,9 +192,8 @@ pub(crate) fn run_threaded<C: Crowd>(
     }
     // ctk-allow(det-thread-spawn): scoped per-shard owners; every cross-shard effect is serialized in shard order at the coordinator's purchase barrier
     std::thread::scope(|scope| {
-        for ((s, shard), (cmds, reqs, replies)) in shards.iter_mut().enumerate().zip(worker_ends) {
+        for (shard, (cmds, reqs, replies)) in shards.iter_mut().zip(worker_ends) {
             let worker = Worker {
-                s,
                 shard_count: n,
                 threads,
                 router,
@@ -306,14 +204,14 @@ pub(crate) fn run_threaded<C: Crowd>(
             };
             scope.spawn(move || worker.run());
         }
-        let quiescence = loop {
+        loop {
             // ctk-allow(det-wall-clock): serving-time metric only; never feeds a decision
             let sweep0 = Instant::now();
             for tx in &cmd_txs {
                 let _ = tx.send(ShardCmd::Sweep);
             }
             let mut outcome = RoundOutcome::default();
-            let mut reports: Vec<SweepReport> = Vec::with_capacity(n);
+            let mut demands = Vec::with_capacity(n);
             // The purchase barrier: serve shard s's request stream to
             // completion before reading shard s+1's. Workers past their
             // own purchases keep computing; their requests just wait.
@@ -339,72 +237,41 @@ pub(crate) fn run_threaded<C: Crowd>(
                     metrics.channel_messages += 1;
                     match req {
                         ShardReq::Resolve { mut pending } => {
-                            // ctk-allow(det-wall-clock): purchase-duration metric only; never feeds a decision
-                            let p0 = Instant::now();
                             let resolution = resolve_pending(
                                 &mut pending,
-                                true,
                                 &mut ledgers[s],
                                 cache,
                                 crowd,
                                 metrics,
                             );
-                            metrics.purchase_time += p0.elapsed();
-                            outcome.cache_hits += resolution.cache_hits;
                             metrics.channel_messages += 1;
-                            let _ = reply_txs[s].send(resolution);
+                            let _ = reply_txs[s].send((pending, resolution));
                         }
                         ShardReq::SweepDone(report) => {
-                            reports.push(*report);
+                            outcome.merge(&report.outcome);
+                            metrics.merge(&report.metrics);
+                            demands.push(report.parked_demand);
                             break;
                         }
                     }
                 }
             }
-            for (s, report) in reports.iter().enumerate() {
-                outcome.merge(&report.outcome);
-                metrics.merge(&report.metrics);
-                metrics.record_shard_sweep(s, report.sweep_time);
-            }
-            // Reconcile in shard order against the SweepDone demand
-            // snapshots (no registry moves between a shard's SweepDone
-            // and this step — its worker is idle until the next Sweep).
-            for ledger in ledgers.iter_mut() {
-                ledger.reclaim();
-            }
-            let mut pool = crowd.remaining();
-            for (s, report) in reports.iter().enumerate() {
-                if pool == 0 {
-                    break;
-                }
-                let granted = report.parked_demand.min(pool);
+            // No registry moves between a shard's SweepDone and this
+            // step: its worker is idle until the next Sweep.
+            let grants = reconcile(ledgers, &demands, crowd.remaining(), metrics, &mut outcome);
+            for (tx, granted) in cmd_txs.iter().zip(grants) {
                 if granted > 0 {
-                    pool -= granted;
-                    ledgers[s].grant(granted);
-                    let _ = cmd_txs[s].send(ShardCmd::Grant { granted });
-                    metrics.budget_granted += granted as u64;
-                    outcome.budget_granted += granted as u64;
+                    let _ = tx.send(ShardCmd::Grant { granted });
                 }
-            }
-            if outcome.progressed() {
-                metrics.rounds += 1;
             }
             metrics.serving_time += sweep0.elapsed();
             if !outcome.progressed() {
-                let sessions: Vec<SessionId> = reports
-                    .iter()
-                    .flat_map(|r| r.parked.iter().copied())
-                    .collect();
-                break if sessions.is_empty() {
-                    Quiescence::Idle
-                } else {
-                    Quiescence::BlockedOnCrowd { sessions }
-                };
+                break;
             }
-        };
+            metrics.rounds += 1;
+        }
         for tx in &cmd_txs {
             let _ = tx.send(ShardCmd::Exit);
         }
-        quiescence
     })
 }

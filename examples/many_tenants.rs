@@ -1,18 +1,18 @@
 //! Many tenants, one crowd: 32 concurrent top-K sessions multiplexed over
 //! a single simulated crowd backend, with cross-session question
-//! deduplication and a sharded round loop.
+//! deduplication and a sharded event loop.
 //!
 //! Run with:
-//! `cargo run --release --example many_tenants [-- --threads N] [--shards N] [--mode tick|event|threaded] [--digest]`
+//! `cargo run --release --example many_tenants [-- --threads N] [--shards N] [--mode event|threaded] [--digest]`
 //!
-//! `--threads N` pins the worker thread count (default: all cores).
-//! `--shards N` partitions the sessions across N shard-owned registries
-//! (default 1); `--mode` picks the barrier tick loop, the event-driven
-//! sweep, or the threaded topology with one worker thread per shard
-//! (default tick). `--digest` prints only a timing-free per-tenant
-//! outcome digest — CI runs the example across thread counts, shard
-//! counts and all run modes and diffs the digests to smoke-check that
-//! the serving topology is invisible in the results.
+//! `--threads N` pins the gather-phase worker thread count (default: all
+//! cores). `--shards N` partitions the sessions across N shard-owned
+//! registries (default 1); `--mode` picks in-place event sweeps or the
+//! threaded topology with one worker thread per shard (default event).
+//! `--digest` prints only a timing-free per-tenant outcome digest — CI
+//! runs the example across thread counts, shard counts and both run
+//! modes and diffs the digests to smoke-check that the serving topology
+//! is invisible in the results.
 
 use crowd_topk::core::measures::MeasureKind;
 use crowd_topk::core::session::{Algorithm, SessionConfig, UrSession};
@@ -62,10 +62,9 @@ fn main() {
         .unwrap_or(1)
         .max(1);
     let mode = match flag("--mode").map(String::as_str) {
-        Some("event") => RunMode::Event,
+        Some("event") | None => RunMode::Event,
         Some("threaded") => RunMode::EventThreaded,
-        Some("tick") | None => RunMode::Tick,
-        Some(other) => panic!("unknown --mode {other:?} (expected tick, event or threaded)"),
+        Some(other) => panic!("unknown --mode {other:?} (expected event or threaded)"),
     };
 
     // One shared object universe: ten items with overlapping uncertain
@@ -76,9 +75,9 @@ fn main() {
     let crowd = CrowdSimulator::new(truth.clone(), PerfectWorker, VotePolicy::Single, 100_000)
         .expect("valid vote policy");
 
-    // A service with a bounded per-round fanout (a tight worker pool):
-    // at most 8 tenants are served per scheduling round, their driver
-    // work sharded across the configured worker threads.
+    // A service with a bounded per-sweep fanout (a tight worker pool):
+    // at most 8 tenants per shard are served per sweep, their next-batch
+    // computation fanned out over the configured worker threads.
     let mut service = TopKService::new(crowd)
         .with_shards(shards)
         .expect("topology set before any submit")

@@ -18,7 +18,7 @@
 //! | [`quality`] | per-worker accuracy estimation (Beta posteriors, Dawid–Skene EM), spammer gates, accuracy-weighted vote fusion, margin-aware question routing |
 //! | [`datagen`] | synthetic datasets, the paper's experiment scenarios, and crowd roster presets |
 //! | [`core`] | uncertainty measures, expected residual uncertainty, question-selection strategies, the sans-IO session driver, the UR session |
-//! | [`service`] | multi-session serving: shard-owned registry/cache/ledgers, tick and event-driven run loops, cross-session question batching with an answer cache, belief-margin routing |
+//! | [`service`] | multi-session serving: shard-owned registry/cache/ledgers, one event sweep run in place or on per-shard worker threads, cross-session question batching with an answer cache, belief-margin routing |
 //! | [`wire`] | versioned, length-prefixed byte codec for question batches, graded answers, route hints and report summaries — lets the serving stack talk to a crowd across a process boundary |
 //!
 //! ## Quick start

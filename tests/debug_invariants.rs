@@ -1,6 +1,6 @@
 //! Exercises the `debug-invariants` runtime checks end to end. The whole
 //! file is compiled only with the feature on (CI's debug-invariants job);
-//! each test drives a path whose gated asserts would fire on a violation:
+//! each test drives a path whose feature-only asserts would fire on a violation:
 //! the budget ledger's overspend check, the world model's
 //! renormalize-to-M check, and the scheduler's ceil(n / fanout) deficit
 //! bound.
@@ -49,7 +49,7 @@ fn noisy_session_passes_ledger_and_world_checks() {
     assert!(crowd.ledger().spent() <= crowd.ledger().budget());
 }
 
-/// A multi-tenant service under bounded fanout: every `tick` runs the
+/// A multi-tenant service under bounded fanout: every sweep runs the
 /// scheduler's deficit tracker.
 #[test]
 fn sharded_service_respects_scheduler_deficit_bound() {
