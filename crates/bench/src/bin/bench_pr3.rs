@@ -2,7 +2,8 @@
 //!
 //! Times the indexed/cached/parallel implementations against the
 //! pre-rewrite reference code paths at the acceptance sizes (M = 10 000
-//! worlds, n = 200 tuples, K = 5) and emits `BENCH_PR3.json` — the first
+//! worlds, n = 200 tuples, K = 5; the residual entries use their own
+//! n = 20 fixture) and emits `BENCH_PR3.json` — the first
 //! data point of the repo's performance trajectory. Also re-asserts that
 //! the parallel builders are bit-identical to their sequential references
 //! (belt and braces; the real pins live in the test suites).
@@ -194,7 +195,40 @@ fn main() {
     });
     let residual = Entry::new("residual_partition", reference_t, scratch_t);
 
-    let entries = [&pr, &noisy, &hard, &path_set, &pairwise, &build, &residual];
+    // --- residual lookahead ----------------------------------------------
+    // Every relevant candidate scored from the root: the prefix-mass
+    // lookahead against materializing each split and evaluating it with
+    // the reference path. Both must agree within 1e-12.
+    let pool = relevant_questions(&ps, &ctx);
+    let lookahead = || -> Vec<f64> {
+        let mut part = AnswerPartition::root(&ps);
+        pool.iter()
+            .map(|q| part.expected_with_question(q, &ctx))
+            .collect()
+    };
+    let materialized = || -> Vec<f64> {
+        pool.iter()
+            .map(|q| {
+                let mut part = AnswerPartition::root(&ps);
+                part.refine(q, &ctx);
+                part.expected_uncertainty_reference(ctx.measure)
+            })
+            .collect()
+    };
+    let fast = lookahead();
+    for ((q, f), r) in pool.iter().zip(&fast).zip(materialized()) {
+        assert!(
+            (f - r).abs() < 1e-12,
+            "lookahead {f} vs reference {r} for {q}"
+        );
+    }
+    let lookahead_t = time_ns(reps, lookahead);
+    let materialized_t = time_ns(reps, materialized);
+    let lookahead = Entry::new("residual_lookahead", materialized_t, lookahead_t);
+
+    let entries = [
+        &pr, &noisy, &hard, &path_set, &pairwise, &build, &residual, &lookahead,
+    ];
     for e in &entries {
         eprintln!(
             "# {:24} reference {:>12.0} ns   new {:>12.0} ns   speedup {:>7.2}x",

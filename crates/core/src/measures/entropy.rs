@@ -23,6 +23,16 @@ impl UncertaintyMeasure for Entropy {
         // E[H(Ω | A)] = H(Ω) - I(Ω; A) >= H(Ω) - H(A) >= H(Ω) - ln 2.
         Some(std::f64::consts::LN_2)
     }
+
+    fn prefix_entropy_weights(&self, depth: usize) -> Option<Vec<f64>> {
+        // Distinct orderings of depth `depth` are exactly the distinct
+        // level-`depth` prefixes, so the leaf entropy is that level's.
+        let mut w = vec![0.0; depth];
+        if let Some(last) = w.last_mut() {
+            *last = 1.0;
+        }
+        Some(w)
+    }
 }
 
 #[cfg(test)]

@@ -53,6 +53,21 @@ pub trait UncertaintyMeasure: Send {
     fn per_question_reduction_bound(&self) -> Option<f64> {
         None
     }
+
+    /// The non-negative per-level weights `w_1..w_depth` when this
+    /// measure is a weighted sum of prefix entropies,
+    /// `U(ps) = Σ_ℓ w_ℓ · H(level-ℓ prefix distribution of ps)`, for every
+    /// path set of depth `depth` (longest path) whose orderings are
+    /// distinct. The level distributions are those of
+    /// [`ctk_tpo::stats::level_distributions`].
+    ///
+    /// Measures that return `Some` let the residual partition score a
+    /// candidate question from per-level prefix masses alone, without
+    /// materializing the answer classes (DESIGN.md §4). The default,
+    /// `None`, keeps the exact evaluation.
+    fn prefix_entropy_weights(&self, _depth: usize) -> Option<Vec<f64>> {
+        None
+    }
 }
 
 /// Enumerable measure selector (mirrors the paper's four measures).
@@ -151,6 +166,28 @@ mod tests {
         assert_eq!(names, vec!["UH", "UHw", "UORA", "UMPO"]);
         for kind in MeasureKind::all() {
             assert_eq!(kind.build().name(), kind.name());
+        }
+    }
+
+    #[test]
+    fn prefix_entropy_weights_reproduce_the_entropy_measures() {
+        use ctk_tpo::stats::level_distributions;
+        let s = test_util::sample_set();
+        let levels = level_distributions(&s);
+        for kind in MeasureKind::all() {
+            let m = kind.build();
+            let Some(w) = m.prefix_entropy_weights(levels.len()) else {
+                assert!(matches!(kind, MeasureKind::Ora | MeasureKind::Mpo));
+                continue;
+            };
+            assert_eq!(w.len(), levels.len());
+            let mix: f64 = levels
+                .iter()
+                .zip(&w)
+                .map(|(probs, w)| w * -probs.iter().map(|p| p * p.ln()).sum::<f64>())
+                .sum();
+            let u = m.uncertainty(&s);
+            assert!((mix - u).abs() < 1e-12, "{}: {mix} vs {u}", kind.name());
         }
     }
 

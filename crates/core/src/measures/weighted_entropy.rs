@@ -64,6 +64,10 @@ impl UncertaintyMeasure for WeightedEntropy {
         // binary answer; weights are normalized to sum 1.
         Some(std::f64::consts::LN_2)
     }
+
+    fn prefix_entropy_weights(&self, depth: usize) -> Option<Vec<f64>> {
+        Some(self.level_weights(depth))
+    }
 }
 
 fn shannon(probs: &[f64]) -> f64 {
